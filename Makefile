@@ -56,8 +56,7 @@ bench:
 # legacy, batched-vs-per-property and interp-vs-compiled measurements
 # (sim ns/cycle, the FPV-bound full-corpus verification pass cold and
 # warm with static and cone/sliced attribution plus the artifact-store
-# disk columns, end-to-end eval wall time, and the cost-vs-contiguous
-# dispatcher tail-latency comparison), written to the checked-in
+# disk columns, and end-to-end eval wall time), written to the checked-in
 # BENCH_pr9.json. QUICK=1 selects CI smoke sizes. The baseline is
 # BENCH_pr8.json's batched cold fpv pass on the same host (see
 # EXPERIMENTS.md).

@@ -9,13 +9,13 @@
 //	abench -model gpt4o         # one model
 //	abench -designs 20 -seed 7  # quick subset
 //	abench -per-design          # per-design verdict breakdown
-//	abench -stream              # print outcomes as designs complete
+//	abench -stream              # print each outcome in corpus order, as soon as
+//	                            # the design and every earlier one have finished
 //	abench -workers 8           # evaluation worker-pool size
 //	abench -shard 1/4           # evaluate the 2nd of 4 corpus shards
 //	abench -cache-dir /var/abench-cache  # persistent artifact store: start warm
 //	abench -deadline 2m         # anytime mode: bounded verdicts at the deadline
 //	abench -design-budget 5s    # cap each design's verification wall clock
-//	abench -dispatch contiguous # scheduling baseline (default: cost)
 //	abench -retries 2           # retry transient per-design failures with backoff
 //	abench -error-policy continue  # stream failed designs as errored outcomes
 //	abench -resume -cache-dir D # skip designs a previous run already decided
@@ -49,10 +49,9 @@ func main() {
 	seed := flag.Int64("seed", 1, "experiment seed")
 	designs := flag.Int("designs", 0, "limit test designs (0 = all 100)")
 	perDesign := flag.Bool("per-design", false, "print per-design verdicts")
-	stream := flag.Bool("stream", false, "print each design outcome the moment it completes")
+	stream := flag.Bool("stream", false, "print each design outcome in corpus order, as soon as the design and every earlier one have finished")
 	asJSON := flag.Bool("json", false, "emit machine-readable JSON instead of text")
 	workers := flag.Int("workers", 0, "evaluation worker-pool size (0 = GOMAXPROCS, 1 = sequential)")
-	dispatch := flag.String("dispatch", "", "worker-pool dispatch mode: cost (default; cost-model work stealing), contiguous (balanced static slices) or fifo (shared queue) — results are identical, only latency differs")
 	deadline := flag.Duration("deadline", 0, "anytime run budget: at expiry, completed designs keep their verdicts and the rest come back truncated/unknown (0 = off)")
 	designBudget := flag.Duration("design-budget", 0, "per-design verification wall-clock budget; undecided assertions come back unknown (0 = off)")
 	shard := flag.String("shard", "", "evaluate one corpus shard, as index/count (e.g. 0/4)")
@@ -61,7 +60,7 @@ func main() {
 	cone := flag.String("cone", "", "cone-of-influence reduction: auto (default) or off (full-design reference)")
 	slices := flag.String("slices", "", "64-way bit-parallel bounded exploration: auto (default) or off (scalar reference)")
 	static := flag.String("static", "", "static pre-verification pass: auto (default) or off (pure-search reference)")
-	cacheDir := flag.String("cache-dir", "", "persistent artifact store directory: compiled programs, reachability graphs and the cost journal are read from and written to it, so repeated invocations start warm (empty = off)")
+	cacheDir := flag.String("cache-dir", "", "persistent artifact store directory: compiled programs, reachability graphs and run manifests are read from and written to it, so repeated invocations start warm (empty = off)")
 	errorPolicy := flag.String("error-policy", "", "what a failed design job does to the run: fail (default; stop at the first error) or continue (stream it as an errored outcome and finish)")
 	retries := flag.Int("retries", 0, "retry budget for transient per-design failures, each retry after a deterministic seeded backoff (0 = no retry)")
 	resume := flag.Bool("resume", false, "serve designs a previous run over the same corpus, seed and options already decided from the run manifest and evaluate only the rest (requires -cache-dir)")
@@ -109,7 +108,6 @@ func main() {
 				Seed:         *seed,
 				UseCorrector: true,
 				Workers:      *workers,
-				Dispatch:     *dispatch,
 				Deadline:     *deadline,
 				DesignBudget: *designBudget,
 				CacheDir:     *cacheDir,

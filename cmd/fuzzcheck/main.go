@@ -7,7 +7,7 @@
 // semantic agreement, bit-sliced-vs-scalar FPV identity,
 // static-pass-vs-pure-search semantic agreement,
 // disk-served-vs-store-free FPV identity through the persistent
-// artifact store, dispatch-order independence of the scheduled
+// artifact store, completion-order independence of the concurrent
 // evaluation stream, and fault-tolerance convergence — injected faults
 // absorbed by retries, surfaced by the continue policy, and healed by
 // a manifest resume — against the fault-free stream). A clean
@@ -91,7 +91,7 @@ func main() {
 	fmt.Printf("store checks:     %d (disk-served vs store-free, %d blobs served from disk)\n",
 		report.StoreChecks, report.StoreLoads)
 	fmt.Printf("determinism runs: %d\n", report.DeterminismRuns)
-	fmt.Printf("sched checks:     %d (cost/contiguous dispatch vs sequential, sharded concat)\n", report.SchedChecks)
+	fmt.Printf("sched checks:     %d (2/4 workers vs sequential, sharded concat)\n", report.SchedChecks)
 	fmt.Printf("fault checks:     %d (injected faults: retry absorption, continue policy, manifest resume)\n", report.FaultChecks)
 	// A silent zero is as bad as a disagreement: it means an oracle was
 	// disconnected, not that the code under test is healthy.

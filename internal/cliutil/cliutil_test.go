@@ -125,7 +125,6 @@ func TestCLIErrorPaths(t *testing.T) {
 		{"assertgen-bad-model", "assertgen", []string{"-model", "nonesuch", badDesign}},
 		{"abench-bad-shard", "abench", []string{"-shard", "bogus"}},
 		{"abench-bad-model", "abench", []string{"-model", "nonesuch", "-designs", "1"}},
-		{"abench-bad-dispatch", "abench", []string{"-dispatch", "lifo", "-model", "gpt3.5", "-designs", "1"}},
 		{"abench-negative-deadline", "abench", []string{"-deadline", "-1s", "-model", "gpt3.5", "-designs", "1"}},
 		{"abench-bad-error-policy", "abench", []string{"-error-policy", "sometimes", "-model", "gpt3.5", "-designs", "1"}},
 		{"abench-negative-retries", "abench", []string{"-retries", "-1", "-model", "gpt3.5", "-designs", "1"}},

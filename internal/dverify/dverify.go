@@ -31,8 +31,8 @@
 //     and reachability graphs round-tripped through internal/astore
 //     blobs and read back by a fresh cache) must reproduce the
 //     store-free search field for field (OracleStore);
-//  10. sched — the cost-model work-stealing dispatcher and the contiguous
-//     baseline must reproduce the sequential eval.Stream byte for byte,
+//  10. sched — 2- and 4-worker pools, whose jobs complete out of corpus
+//     order, must reproduce the sequential eval.Stream byte for byte,
 //     sharded concatenation included (OracleSched);
 //  11. fault — under deterministic injected faults, retries must absorb
 //     bounded transient failures invisibly, a permanent failure under
@@ -162,12 +162,11 @@ const (
 	// simulator. The mutation seam is astore.LoadHook: a corrupting hook
 	// behind the checksum must surface as a disagreement here.
 	OracleStore Oracle = "store"
-	// OracleSched cross-checks the cost-model work-stealing dispatcher
-	// (eval.DispatchCost, the default) and the contiguous-partition
-	// baseline (eval.DispatchContiguous) against the sequential
-	// reference walk: at the same seed the rendered outcome streams must
-	// be byte-identical whatever the dispatch order, and concatenating
-	// sharded cost-dispatched streams must reproduce the unsharded one.
+	// OracleSched cross-checks 2- and 4-worker evaluation pools against
+	// the sequential reference walk: at the same seed the rendered
+	// outcome streams must be byte-identical whatever order the workers
+	// complete jobs in, and concatenating sharded 2-worker streams must
+	// reproduce the unsharded one.
 	// The in-order reorder buffer is what this oracle pins down; its
 	// mutation seam is eval.SchedIndexHook — a hook that misroutes two
 	// buffer slots must surface as a disagreement here.
@@ -258,9 +257,9 @@ type Report struct {
 	// in-memory runs and proved nothing about the store.
 	StoreChecks int
 	StoreLoads  int
-	// SchedChecks counts the dispatch-mode stream comparisons (oracle
-	// 10): cost-vs-sequential, contiguous-vs-sequential, and the sharded
-	// cost-dispatched concatenation.
+	// SchedChecks counts the worker-pool stream comparisons (oracle
+	// 10): 2-workers-vs-sequential, 4-workers-vs-sequential, and the
+	// sharded 2-worker concatenation.
 	SchedChecks int
 	// FaultChecks counts the fault-tolerance comparisons (oracle 11):
 	// retry-absorbed chaos vs the fault-free reference, the

@@ -935,13 +935,12 @@ func (h *harness) checkDeterminism(ctx context.Context, corpus []bench.Design) (
 	return runs, ds, nil
 }
 
-// --- oracle 10: dispatch-order independence of eval.Stream ---
+// --- oracle 10: completion-order independence of eval.Stream ---
 
-// checkSched runs the generated corpus through every scheduled dispatch
-// mode and compares the rendered streams byte for byte against the
-// sequential reference. checkDeterminism already pins the default (cost)
-// parallel path; this oracle pins the dispatch knob itself — cost and
-// contiguous plans walk the corpus in very different orders, and both
+// checkSched runs the generated corpus through worker pools of two and
+// four and compares the rendered streams byte for byte against the
+// sequential reference. Workers finish jobs out of corpus order, and a
+// different pool size interleaves completions differently; all of it
 // must be invisible through the reorder buffer, shards included.
 func (h *harness) checkSched(ctx context.Context, corpus []bench.Design) (int, []Disagreement, error) {
 	gen := eval.NewModelGenerator(llm.GPT4o())
@@ -971,18 +970,17 @@ func (h *harness) checkSched(ctx context.Context, corpus []bench.Design) (int, [
 
 	checks := 0
 	var ds []Disagreement
-	for _, dispatch := range []string{eval.DispatchCost, eval.DispatchContiguous} {
+	for _, workers := range []int{2, 4} {
 		opt := base
-		opt.Workers = 4
-		opt.Dispatch = dispatch
-		got, err := collect(dispatch, opt)
+		opt.Workers = workers
+		got, err := collect(fmt.Sprintf("%d-worker", workers), opt)
 		if err != nil {
 			return checks, ds, err
 		}
 		checks++
 		if got != seq {
 			ds = append(ds, Disagreement{Oracle: OracleSched,
-				Detail: fmt.Sprintf("%s-dispatched eval.Stream differs from sequential at the same seed:\n%s", dispatch, firstDiff(seq, got))})
+				Detail: fmt.Sprintf("%d-worker eval.Stream differs from sequential at the same seed:\n%s", workers, firstDiff(seq, got))})
 		}
 	}
 
@@ -990,7 +988,6 @@ func (h *harness) checkSched(ctx context.Context, corpus []bench.Design) (int, [
 	for i := 0; i < 2; i++ {
 		opt := base
 		opt.Workers = 2
-		opt.Dispatch = eval.DispatchCost
 		opt.ShardIndex, opt.ShardCount = i, 2
 		s, err := collect(fmt.Sprintf("shard %d/2", i), opt)
 		if err != nil {
@@ -1001,7 +998,7 @@ func (h *harness) checkSched(ctx context.Context, corpus []bench.Design) (int, [
 	checks++
 	if shards.String() != seq {
 		ds = append(ds, Disagreement{Oracle: OracleSched,
-			Detail: "concatenated cost-dispatched shard streams differ from the unsharded stream:\n" + firstDiff(seq, shards.String())})
+			Detail: "concatenated 2-worker shard streams differ from the unsharded stream:\n" + firstDiff(seq, shards.String())})
 	}
 	return checks, ds, nil
 }

@@ -22,7 +22,6 @@ func TestRunOptionValidation(t *testing.T) {
 		want string
 	}{
 		{"negative workers", func(o *RunOptions) { o.Workers = -2 }, "negative Workers"},
-		{"bad dispatch", func(o *RunOptions) { o.Dispatch = "bogus" }, "unknown dispatch mode"},
 		{"negative deadline", func(o *RunOptions) { o.Deadline = -time.Second }, "negative Deadline"},
 		{"negative design budget", func(o *RunOptions) { o.DesignBudget = -time.Millisecond }, "negative DesignBudget"},
 		{"bad error policy", func(o *RunOptions) { o.ErrorPolicy = "sometimes" }, "unknown error policy"},
@@ -110,7 +109,7 @@ func TestDeadlineTruncatesRun(t *testing.T) {
 }
 
 // TestStarvedBudgetConvergesOnRerun is the anytime-resumability contract:
-// a starved run leaves the pipeline's caches (and cost journal) in a
+// a starved run leaves the pipeline's caches in a
 // state from which an unbudgeted rerun converges to exactly the result a
 // never-budgeted process would have produced.
 func TestStarvedBudgetConvergesOnRerun(t *testing.T) {

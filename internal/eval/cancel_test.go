@@ -79,37 +79,33 @@ func TestRunPreCanceledContext(t *testing.T) {
 }
 
 // TestStreamEarlyBreakDrainsWorkers: a consumer that stops iterating
-// mid-stream must not leak the pool, whichever dispatcher fed it.
+// mid-stream must not leak the pool.
 func TestStreamEarlyBreakDrainsWorkers(t *testing.T) {
 	e := testExperiment(t, 12)
 	gen := NewModelGenerator(llm.GPT35())
-	for _, dispatch := range []string{DispatchCost, DispatchContiguous, DispatchFIFO} {
-		t.Run(dispatch, func(t *testing.T) {
-			baseline := runtime.NumGoroutine()
-			n := 0
-			for _, err := range Stream(context.Background(), gen, e.ICL, e.Corpus, RunOptions{Shots: 1, Workers: 4, Dispatch: dispatch}) {
-				if err != nil {
-					t.Fatal(err)
-				}
-				n++
-				if n == 2 {
-					break
-				}
-			}
-			if n != 2 {
-				t.Fatalf("broke after %d outcomes", n)
-			}
-			waitForGoroutines(t, baseline)
-		})
+	baseline := runtime.NumGoroutine()
+	n := 0
+	for _, err := range Stream(context.Background(), gen, e.ICL, e.Corpus, RunOptions{Shots: 1, Workers: 4}) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		n++
+		if n == 2 {
+			break
+		}
 	}
+	if n != 2 {
+		t.Fatalf("broke after %d outcomes", n)
+	}
+	waitForGoroutines(t, baseline)
 }
 
-// TestMidStealCancellationDrains: cancelling while the cost dispatcher's
-// workers are draining (and stealing from) their deques stops the pool
-// within one design job each, surfaces ctx.Err(), and leaks nothing. The
-// worker count exceeds what the LPT plan can keep busy evenly on this
-// small corpus, so steals are in play when the cancellation lands.
-func TestMidStealCancellationDrains(t *testing.T) {
+// TestDrainingPoolCancellation: cancelling while 8 workers drain the
+// shared queue — more workers than this small corpus keeps evenly busy,
+// so some are idle and some mid-job when the cancellation lands — stops
+// the pool within one design job each, surfaces ctx.Err(), and leaks
+// nothing.
+func TestDrainingPoolCancellation(t *testing.T) {
 	e := testExperiment(t, 20)
 	gen := NewModelGenerator(llm.GPT4o())
 	baseline := runtime.NumGoroutine()
@@ -117,7 +113,7 @@ func TestMidStealCancellationDrains(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var got error
 	n := 0
-	for _, err := range Stream(ctx, gen, e.ICL, e.Corpus, RunOptions{Shots: 5, UseCorrector: true, Workers: 8, Dispatch: DispatchCost}) {
+	for _, err := range Stream(ctx, gen, e.ICL, e.Corpus, RunOptions{Shots: 5, UseCorrector: true, Workers: 8}) {
 		if err != nil {
 			got = err
 			break
@@ -129,7 +125,7 @@ func TestMidStealCancellationDrains(t *testing.T) {
 	}
 	cancel()
 	if !errors.Is(got, context.Canceled) {
-		t.Fatalf("stream after mid-steal cancel ended with %v, want context.Canceled", got)
+		t.Fatalf("stream after mid-drain cancel ended with %v, want context.Canceled", got)
 	}
 	if n < 3 || n >= 20 {
 		t.Fatalf("cancellation was not mid-run: %d outcomes yielded", n)

@@ -21,8 +21,8 @@ import (
 // the first run left undecided — Unknown verdicts, truncation stubs,
 // errored outcomes, or designs never reached. Because decided verdicts
 // are budget- and schedule-independent (the anytime and oracle-10
-// contracts), the manifest key deliberately excludes Workers, Dispatch,
-// budgets, Retries and ErrorPolicy: a budgeted 8-worker run's manifest
+// contracts), the manifest key deliberately excludes Workers, budgets,
+// Retries and ErrorPolicy: a budgeted 8-worker run's manifest
 // resumes correctly under an unbudgeted sequential run, and the result
 // is byte-identical to never having been interrupted (dverify
 // oracle 11).

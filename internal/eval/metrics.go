@@ -27,8 +27,8 @@ const (
 	// VerdictUnknown: a verification budget (RunOptions.Deadline or
 	// RunOptions.DesignBudget) expired before the engine decided the
 	// assertion. An anytime outcome, not a fourth quality class: rerunning
-	// without the budget (or resuming over the warm caches and cost
-	// journal) converges to one of the three paper verdicts.
+	// without the budget (or resuming over the warm caches) converges to
+	// one of the three paper verdicts.
 	VerdictUnknown
 )
 

@@ -28,14 +28,6 @@ type RunOptions struct {
 	// produces byte-identical results at the same seed. Negative counts
 	// are an error, not a silent clamp.
 	Workers int
-	// Dispatch selects how jobs reach the workers: DispatchCost (the
-	// default) plans by predicted per-design cost over work-stealing
-	// deques, DispatchContiguous statically partitions the corpus into
-	// contiguous per-worker slices (no stealing), DispatchFIFO hands out
-	// indices in corpus order from one shared queue. All modes produce
-	// byte-identical output at the same seed (dverify oracle 10); they
-	// differ only in completion-latency profile.
-	Dispatch string
 	// Deadline, when positive, bounds the whole run's verification wall
 	// time (anytime mode): designs finished in budget keep their
 	// verdicts, a design caught mid-verification keeps its decided
@@ -115,9 +107,6 @@ func (o RunOptions) withDefaults() RunOptions {
 	}
 	if o.ShardCount == 0 {
 		o.ShardCount = 1
-	}
-	if o.Dispatch == "" {
-		o.Dispatch = DispatchCost
 	}
 	if o.ErrorPolicy == "" {
 		o.ErrorPolicy = ErrorPolicyFail

@@ -18,14 +18,16 @@ import (
 )
 
 // The concurrent evaluation runner. A run decomposes into one job per
-// design; jobs are planned onto a bounded worker pool by the cost-aware
-// dispatcher (sched.go) and their results streamed back in corpus order,
-// so both the incremental Stream and the batch Run (a collector over the
-// stream) are identical to a sequential walk at the same seed:
+// design; a feeder hands the jobs out in corpus order over one shared
+// queue to a bounded worker pool, each worker taking the next job as
+// soon as it is free, and a reorder buffer streams the results back in
+// corpus order. Both the incremental Stream and the batch Run (a
+// collector over the stream) are identical to a sequential walk at the
+// same seed:
 //
 //   - every per-design random stream is seeded from the design's GLOBAL
-//     corpus index (not its position in a shard, a deque, or the order
-//     workers happened to pick jobs up), and generation/verification
+//     corpus index (not its position in a shard or the order workers
+//     happened to pick jobs up), and generation/verification
 //     allocate a fresh seeded rand.Rand per call — no worker ever touches
 //     a shared or unseeded source on the concurrent path;
 //   - each worker owns one Verifier built by RunOptions.NewVerifier (the
@@ -51,9 +53,18 @@ type indexedResult struct {
 	res jobResult
 }
 
+// SchedIndexHook, when non-nil, remaps a completed job's corpus index to
+// its slot in the in-order reorder buffer. It exists solely as a
+// mutation seam for the differential harness: oracle 10's mutation test
+// installs an index swap to prove the concurrent-vs-sequential
+// comparison actually fails when the merge path misroutes a result —
+// exactly the bug class out-of-order completion could introduce and
+// result comparison must catch. Never set in production.
+var SchedIndexHook func(int) int
+
 // streamJobs evaluates designs[i] for every i, in parallel when
 // opt.Workers allows, and yields outcomes strictly in corpus order, each
-// the moment it and all its predecessors are done. base is the global
+// as soon as it and all its predecessors are done. base is the global
 // corpus index of designs[0]. The first per-design error (lowest corpus
 // index, identical to what a sequential walk would hit) is yielded as the
 // final element and ends the stream.
@@ -63,7 +74,7 @@ func streamJobs(ctx context.Context, gen Generator, icl []llm.Example, designs [
 	// complete, and with Resume set the outcomes a previous run already
 	// decided are served directly — their designs are never dispatched,
 	// so no generation or verification happens for them. skip holds the
-	// resolved local indices for the dispatchers below.
+	// resolved local indices for the feeder below.
 	var rec *manifestRecorder
 	var done map[int]DesignOutcome
 	var skip map[int]bool
@@ -114,9 +125,12 @@ func streamJobs(ctx context.Context, gen Generator, icl []llm.Example, designs [
 		return
 	}
 
-	// The concurrent path: the dispatcher hands jobs to a pool of
-	// workers, and the emitter below reorders completions back into
-	// corpus order. The derived pool context tears the pool down on any
+	// The concurrent path: a feeder hands out indices in corpus order
+	// over one unbuffered channel, workers take the next index as soon
+	// as they are free, and the emitter below reorders completions back
+	// into corpus order. Because jobs start in corpus order, a design's
+	// outcome waits in the reorder buffer only for the few jobs started
+	// just before it. The derived pool context tears the pool down on any
 	// exit path (consumer break, external cancellation, first error);
 	// the run-deadline context is layered inside it so budget expiry
 	// truncates without tearing anything down. results is buffered to
@@ -136,7 +150,7 @@ func streamJobs(ctx context.Context, gen Generator, icl []llm.Example, designs [
 	results := make(chan indexedResult, len(designs))
 	post := func(i int, jr jobResult) {
 		// SchedIndexHook is the oracle-10 mutation seam: it misroutes a
-		// result to the wrong reorder slot, which scheduled-vs-sequential
+		// result to the wrong reorder slot, which concurrent-vs-sequential
 		// comparison must catch. Production leaves it nil.
 		slot := i
 		if SchedIndexHook != nil {
@@ -147,100 +161,55 @@ func streamJobs(ctx context.Context, gen Generator, icl []llm.Example, designs [
 
 	// Resume-resolved designs post their manifest outcomes straight into
 	// the reorder buffer (it is buffered to the full corpus, so this can
-	// never block); the dispatchers below skip their indices entirely.
+	// never block); the feeder below skips their indices entirely.
 	for i := range designs {
 		if o, ok := done[base+i]; ok {
 			post(i, jobResult{outcome: o})
 		}
 	}
 
-	if opt.Dispatch == DispatchFIFO {
-		// Legacy dispatch: a feeder hands out indices in corpus order
-		// over one shared channel; greedy pickup keeps the pool busy
-		// without any planning.
-		jobs := make(chan int)
-		var failed atomic.Bool
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				v := opt.NewVerifier()
-				for i := range jobs {
-					jr := runJob(poolCtx, runCtx, gen, v, icl, designs[i], base+i, opt, start, rec)
-					if jr.err != nil {
-						// Stops the feeder. Jobs are fed in index order,
-						// so every job below the erroring index is already
-						// assigned and completes normally — the emitter
-						// (which stops at the lowest erroring index) sees
-						// exactly what a sequential run would have
-						// produced.
-						failed.Store(true)
-					}
-					post(i, jr)
-					if poolCtx.Err() != nil {
-						return
-					}
-				}
-			}()
-		}
+	jobs := make(chan int)
+	var failed atomic.Bool
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			defer close(jobs)
-			for i := range designs {
-				if skip[i] {
-					continue
+			v := opt.NewVerifier()
+			for i := range jobs {
+				jr := runJob(poolCtx, runCtx, gen, v, icl, designs[i], base+i, opt, start, rec)
+				if jr.err != nil {
+					// Stops the feeder. Jobs are fed in index order, so
+					// every job below the erroring index is already
+					// assigned and completes normally — the emitter
+					// (which stops at the lowest erroring index) sees
+					// exactly what a sequential run would have produced.
+					failed.Store(true)
 				}
-				if failed.Load() {
-					return
-				}
-				select {
-				case jobs <- i:
-				case <-poolCtx.Done():
+				post(i, jr)
+				if poolCtx.Err() != nil {
 					return
 				}
 			}
 		}()
-	} else {
-		// Planned dispatch (cost or contiguous): per-worker deques,
-		// populated up front. Jobs run out of corpus order, so the
-		// first-error contract needs an atomic minimum instead of a stop
-		// flag: a job above the lowest erroring index is skipped (the
-		// emitter will never consume it), while everything below keeps
-		// running because the emitter needs the complete prefix.
-		sched := newScheduler(poolCtx, designs, workers, opt.Dispatch, skip)
-		var minFailed atomic.Int64
-		minFailed.Store(int64(len(designs)))
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				v := opt.NewVerifier()
-				for {
-					j, ok := sched.next(w)
-					if !ok {
-						return
-					}
-					if int64(j.idx) > minFailed.Load() {
-						continue
-					}
-					jr := runJob(poolCtx, runCtx, gen, v, icl, designs[j.idx], base+j.idx, opt, start, rec)
-					if jr.err != nil {
-						for {
-							cur := minFailed.Load()
-							if int64(j.idx) >= cur || minFailed.CompareAndSwap(cur, int64(j.idx)) {
-								break
-							}
-						}
-					}
-					post(j.idx, jr)
-					if poolCtx.Err() != nil {
-						return
-					}
-				}
-			}(w)
-		}
 	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer close(jobs)
+		for i := range designs {
+			if skip[i] {
+				continue
+			}
+			if failed.Load() {
+				return
+			}
+			select {
+			case jobs <- i:
+			case <-poolCtx.Done():
+				return
+			}
+		}
+	}()
 
 	// In-order emitter: completions arrive in whatever order workers
 	// finish; outcome i is yielded the moment it and all predecessors are
@@ -336,7 +305,7 @@ func runJob(ctx, runCtx context.Context, gen Generator, v Verifier, icl []llm.Ex
 // error are exactly the prefix a sequential run would have kept.
 //
 // The yielded stream is deterministic: at equal seed it is identical for
-// any Workers count and any Dispatch mode, and shard streams concatenate
+// any Workers count, and shard streams concatenate
 // to the unsharded stream. Breaking out of the iteration early cancels
 // and drains the worker pool before the iterator returns.
 //
@@ -382,17 +351,11 @@ func Stream(ctx context.Context, gen Generator, examples []llm.Example, corpus [
 				opt.FPV.Static, fpv.StaticAuto, fpv.StaticOff))
 			return
 		}
-		// Scheduler-adjacent knobs fail fast with a clear message rather
-		// than silently clamping: a negative worker count or budget is
-		// always a caller bug, and a mistyped dispatch mode would
-		// otherwise quietly fall back to the default plan.
+		// Pool knobs fail fast with a clear message rather than silently
+		// clamping: a negative worker count or budget is always a caller
+		// bug.
 		if opt.Workers < 0 {
 			yield(DesignOutcome{}, fmt.Errorf("eval: negative Workers %d (0 means GOMAXPROCS, 1 forces sequential)", opt.Workers))
-			return
-		}
-		if !ValidDispatch(opt.Dispatch) {
-			yield(DesignOutcome{}, fmt.Errorf("eval: unknown dispatch mode %q (want %q, %q or %q)",
-				opt.Dispatch, DispatchCost, DispatchContiguous, DispatchFIFO))
 			return
 		}
 		if opt.Deadline < 0 {
@@ -448,8 +411,6 @@ func Stream(ctx context.Context, gen Generator, examples []llm.Example, corpus [
 // the caller's (cancellation aborts the job with its error); runCtx
 // layers the run deadline on top, and the per-design budget derives from
 // it here — budget expiry truncates the outcome instead of failing it.
-// Completed jobs record their wall time in the cost journal
-// (bench.StoreCost) so later runs plan from measurements.
 func evalDesign(ctx, runCtx context.Context, gen Generator, v Verifier, icl []llm.Example, d bench.Design, globalIdx int, opt RunOptions) jobResult {
 	if err := ctx.Err(); err != nil {
 		return jobResult{err: err}
@@ -460,7 +421,6 @@ func evalDesign(ctx, runCtx context.Context, gen Generator, v Verifier, icl []ll
 		vctx, vcancel = context.WithTimeout(runCtx, opt.DesignBudget)
 		defer vcancel()
 	}
-	t0 := time.Now()
 	nl, err := bench.Elaborate(d)
 	if err != nil {
 		return jobResult{err: fmt.Errorf("eval: corpus design %s: %w", d.Name, err)}
@@ -528,8 +488,5 @@ func evalDesign(ctx, runCtx context.Context, gen Generator, v Verifier, icl []ll
 	if vctx.Err() != nil {
 		outcome.Truncated = true
 	}
-	// Truncated measurements are lower bounds; the journal max-merges,
-	// so recording them is still sound.
-	bench.StoreCost(nl, time.Since(t0))
 	return jobResult{outcome: outcome}
 }

@@ -2,16 +2,20 @@ package eval
 
 import (
 	"context"
+	"fmt"
 	"reflect"
+	"sync"
 	"testing"
 
+	"assertionbench/internal/bench"
 	"assertionbench/internal/llm"
 )
 
-// TestDispatchModesByteIdentical is the scheduling half of the merge
-// contract: every dispatch mode must reproduce the sequential reference
-// exactly — outcome for outcome, field for field — at the same seed.
-func TestDispatchModesByteIdentical(t *testing.T) {
+// TestWorkerCountsByteIdentical is the scheduling half of the merge
+// contract: every worker-pool size must reproduce the sequential
+// reference exactly — outcome for outcome, field for field — at the same
+// seed, however the workers' completions interleave.
+func TestWorkerCountsByteIdentical(t *testing.T) {
 	e := testExperiment(t, 12)
 	gen := NewModelGenerator(llm.GPT4o())
 	base := RunOptions{Shots: 5, UseCorrector: true, Seed: 7}
@@ -22,17 +26,16 @@ func TestDispatchModesByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, dispatch := range []string{DispatchCost, DispatchContiguous, DispatchFIFO} {
-		t.Run(dispatch, func(t *testing.T) {
+	for _, workers := range []int{2, 3, 4, 8} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			opt := base
-			opt.Workers = 4
-			opt.Dispatch = dispatch
+			opt.Workers = workers
 			got, err := Run(context.Background(), gen, e.ICL, e.Corpus, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(ref, got) {
-				t.Errorf("%s dispatch differs from sequential\nseq: %+v\ngot: %+v", dispatch, ref.Metrics, got.Metrics)
+				t.Errorf("%d workers differ from sequential\nseq: %+v\ngot: %+v", workers, ref.Metrics, got.Metrics)
 			}
 		})
 	}
@@ -79,91 +82,53 @@ func TestSchedIndexHookBreaksIdentity(t *testing.T) {
 	}
 }
 
-// TestSchedulerPlans pins the planner's structure: contiguous mode
-// partitions the corpus into balanced contiguous slices consumed in
-// index order; cost mode covers every index exactly once and hands the
-// most expensive work out first when stolen.
-func TestSchedulerPlans(t *testing.T) {
-	e := testExperiment(t, 10)
-	designs := e.Corpus
-
-	t.Run("contiguous", func(t *testing.T) {
-		s := newScheduler(context.Background(), designs, 3, DispatchContiguous, nil)
-		if s.stealing {
-			t.Error("contiguous plan must not steal")
-		}
-		// 10 designs over 3 workers: 4+3+3, contiguous, owner pops in
-		// index order.
-		wantSizes := []int{4, 3, 3}
-		next := 0
-		for w, q := range s.queues {
-			if len(q.jobs) != wantSizes[w] {
-				t.Fatalf("worker %d holds %d jobs, want %d", w, len(q.jobs), wantSizes[w])
-			}
-			for range wantSizes[w] {
-				j, ok := q.popTail()
-				if !ok || j.idx != next {
-					t.Fatalf("worker %d popped idx %d (ok=%v), want %d", w, j.idx, ok, next)
-				}
-				next++
-			}
-		}
-	})
-
-	t.Run("cost", func(t *testing.T) {
-		s := newScheduler(context.Background(), designs, 3, DispatchCost, nil)
-		if !s.stealing {
-			t.Error("cost plan must steal")
-		}
-		seen := make(map[int]bool)
-		for w := range s.queues {
-			for _, j := range s.queues[w].jobs {
-				if seen[j.idx] {
-					t.Fatalf("index %d planned twice", j.idx)
-				}
-				seen[j.idx] = true
-			}
-			// Owner order is cheapest-last (tail pop = SPT).
-			for k := 1; k < len(s.queues[w].jobs); k++ {
-				if s.queues[w].jobs[k].cost > s.queues[w].jobs[k-1].cost {
-					t.Fatalf("worker %d deque not sorted costliest-first", w)
-				}
-			}
-		}
-		if len(seen) != len(designs) {
-			t.Fatalf("plan covers %d designs, want %d", len(seen), len(designs))
-		}
-		// A worker with a dry deque steals the costliest pending job of
-		// the most-loaded victim.
-		for range len(s.queues[0].jobs) {
-			s.queues[0].popTail()
-		}
-		victim, max := -1, uint64(0)
-		for i := 1; i < len(s.queues); i++ {
-			if load := s.queues[i].remaining(); load > max {
-				victim, max = i, load
-			}
-		}
-		if victim < 0 {
-			t.Skip("no loaded victim on this corpus")
-		}
-		wantIdx := s.queues[victim].jobs[0].idx
-		j, ok := s.next(0)
-		if !ok || j.idx != wantIdx {
-			t.Fatalf("steal returned idx %d (ok=%v), want head of worker %d (idx %d)", j.idx, ok, victim, wantIdx)
-		}
-	})
+// gatedGenerator records the design of every Generate call and holds
+// each call until n calls have arrived, so the first n jobs the pool
+// starts are pinned down before any of them can finish and free a worker.
+type gatedGenerator struct {
+	Generator
+	n       int
+	mu      sync.Mutex
+	started []string
+	release chan struct{}
 }
 
-func TestValidDispatch(t *testing.T) {
-	for _, s := range []string{"", DispatchCost, DispatchContiguous, DispatchFIFO} {
-		if !ValidDispatch(s) {
-			t.Errorf("ValidDispatch(%q) = false", s)
-		}
+func (g *gatedGenerator) Generate(ctx context.Context, d bench.Design, icl []llm.Example, opt GenOptions) (GenOutput, error) {
+	g.mu.Lock()
+	g.started = append(g.started, d.Name)
+	if len(g.started) == g.n {
+		close(g.release)
 	}
-	for _, s := range []string{"lifo", "COST", "random"} {
-		if ValidDispatch(s) {
-			t.Errorf("ValidDispatch(%q) = true", s)
+	g.mu.Unlock()
+	select {
+	case <-g.release:
+	case <-ctx.Done():
+		return GenOutput{}, ctx.Err()
+	}
+	return g.Generator.Generate(ctx, d, icl, opt)
+}
+
+// TestStreamStartsInCorpusOrder: the pool starts jobs in corpus order,
+// so the first Workers jobs started are the first Workers designs. A
+// streamed outcome waits in the reorder buffer only for designs before
+// it, so starting later designs first would delay every delivery.
+func TestStreamStartsInCorpusOrder(t *testing.T) {
+	e := testExperiment(t, 12)
+	const workers = 3
+	want := map[string]bool{}
+	for _, d := range e.Corpus[:workers] {
+		want[d.Name] = true
+	}
+	for rep := 0; rep < 20; rep++ {
+		gen := &gatedGenerator{Generator: NewModelGenerator(llm.GPT35()), n: workers, release: make(chan struct{})}
+		if _, err := Run(context.Background(), gen, e.ICL, e.Corpus, RunOptions{Shots: 1, Workers: workers}); err != nil {
+			t.Fatal(err)
+		}
+		first := gen.started[:workers]
+		for _, name := range first {
+			if !want[name] {
+				t.Fatalf("rep %d: first jobs started %v, want the first %d corpus designs", rep, first, workers)
+			}
 		}
 	}
 }

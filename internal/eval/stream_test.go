@@ -41,8 +41,8 @@ func TestStreamMatchesRun(t *testing.T) {
 		{"sequential", func(o *RunOptions) { o.Workers = 1 }},
 		{"parallel", func(o *RunOptions) { o.Workers = 4 }},
 		{"sharded", func(o *RunOptions) { o.Workers = 2; o.ShardIndex = 1; o.ShardCount = 3 }},
-		{"contiguous", func(o *RunOptions) { o.Workers = 4; o.Dispatch = DispatchContiguous }},
-		{"fifo", func(o *RunOptions) { o.Workers = 4; o.Dispatch = DispatchFIFO }},
+		{"workers=3", func(o *RunOptions) { o.Workers = 3 }},
+		{"workers=8", func(o *RunOptions) { o.Workers = 8 }},
 	}
 	for _, cfg := range configs {
 		t.Run(cfg.name, func(t *testing.T) {

@@ -25,13 +25,6 @@ type RunOptions struct {
 	// sequential run. Any worker count produces identical results at the
 	// same seed.
 	Workers int
-	// Dispatch selects how the worker pool divides the corpus:
-	// DispatchCost (default) plans per-design work from the cost model and
-	// lets idle workers steal, DispatchContiguous assigns balanced
-	// contiguous slices with no stealing, DispatchFIFO feeds a shared
-	// queue in corpus order. Every mode yields byte-identical results at
-	// the same seed; they differ only in completion-latency profile.
-	Dispatch string
 	// Deadline bounds the whole run's wall clock (anytime mode): when it
 	// expires, designs already verified keep their verdicts, in-flight
 	// designs keep decided verdicts with the rest Unknown, and unreached
@@ -110,20 +103,6 @@ type RunOptions struct {
 	Resume bool
 }
 
-// Dispatch modes for RunOptions.Dispatch.
-const (
-	// DispatchCost plans per-worker deques from the per-design cost model
-	// (journaled prior wall time, static structure otherwise) and lets
-	// idle workers steal the costliest pending job. The default.
-	DispatchCost = eval.DispatchCost
-	// DispatchContiguous assigns balanced contiguous corpus slices with
-	// no stealing — the pre-cost-model division, kept as the tail-latency
-	// baseline.
-	DispatchContiguous = eval.DispatchContiguous
-	// DispatchFIFO feeds a shared queue in corpus order.
-	DispatchFIFO = eval.DispatchFIFO
-)
-
 // Error policies for RunOptions.ErrorPolicy.
 const (
 	// ErrorPolicyFail ends the stream at the first per-design error (the
@@ -142,7 +121,6 @@ func (o RunOptions) internal() eval.RunOptions {
 		FPV:          o.Verify.internal(),
 		MaxDesigns:   o.MaxDesigns,
 		Workers:      o.Workers,
-		Dispatch:     o.Dispatch,
 		Deadline:     o.Deadline,
 		DesignBudget: o.DesignBudget,
 		OnDesignDone: o.OnDesignDone,

@@ -66,9 +66,8 @@ type SelfCheckReport struct {
 	// those warm runs actually served from disk.
 	StoreChecks int
 	StoreLoads  int
-	// SchedChecks counts dispatch-mode stream comparisons (the cost-model
-	// work-stealing dispatcher and the contiguous baseline against the
-	// sequential reference, plus the sharded cost-dispatched
+	// SchedChecks counts worker-pool stream comparisons (2- and 4-worker
+	// pools against the sequential reference, plus the sharded 2-worker
 	// concatenation).
 	SchedChecks int
 	// FaultChecks counts fault-tolerance comparisons (deterministic
@@ -106,9 +105,9 @@ func (r SelfCheckReport) OK() bool { return len(r.Disagreements) == 0 }
 // like searched ones, and bit-identical agreement of FPV served from the
 // persistent artifact store — compiled programs and reachability graphs
 // round-tripped through disk blobs and read back by a cold cache — with
-// the store-free search, and byte-identical agreement of the cost-model
-// work-stealing dispatcher and the contiguous baseline with the
-// sequential evaluation walk, sharded concatenation included, and
+// the store-free search, and byte-identical agreement of 2- and 4-worker
+// evaluation pools with the sequential evaluation walk, sharded
+// concatenation included, and
 // convergence of the fault-tolerance layer — retries absorbing bounded
 // injected faults, the continue policy surfacing a permanent failure as
 // one errored outcome, and a resumed run served from the run manifest —

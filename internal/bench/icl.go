@@ -47,8 +47,11 @@ func BuildICL(ctx context.Context, opt ICLOptions) ([]llm.Example, error) {
 	return out, nil
 }
 
-// MineExample mines one design into a prompt example (union of both
-// miners, ranked, capped).
+// MineExample mines one design into a prompt example: the union of
+// both miners, merged GoldMine first, then ranked, deduplicated and
+// capped. The miners run concurrently (mine.Both), which changes
+// nothing in the example. Cancelling ctx returns ctx.Err() and no
+// example, never a shortened one.
 func MineExample(ctx context.Context, d Design, opt ICLOptions) (llm.Example, error) {
 	opt = opt.withDefaults()
 	nl, err := verilog.ElaborateSource(d.Source, d.Name)
@@ -56,11 +59,7 @@ func MineExample(ctx context.Context, d Design, opt ICLOptions) (llm.Example, er
 		return llm.Example{}, fmt.Errorf("bench: design %s does not elaborate: %w", d.Name, err)
 	}
 	mopt := mine.Options{Seed: opt.Seed, FPV: opt.FPV, MaxAssertions: opt.MaxAssertions}
-	gm, err := mine.GoldMine(ctx, nl, mopt)
-	if err != nil {
-		return llm.Example{}, err
-	}
-	hm, err := mine.Harm(ctx, nl, mopt)
+	gm, hm, err := mine.Both(ctx, nl, mopt)
 	if err != nil {
 		return llm.Example{}, err
 	}

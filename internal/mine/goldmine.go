@@ -17,6 +17,16 @@ import (
 // rules. Cancelling ctx aborts the verification filter with ctx.Err().
 func GoldMine(ctx context.Context, nl *verilog.Netlist, opt Options) ([]Mined, error) {
 	opt = opt.withDefaults()
+	cands, err := goldMineCandidates(nl, opt)
+	if err != nil {
+		return nil, err
+	}
+	return dedupeAndVerify(ctx, nl, cands, opt)
+}
+
+// goldMineCandidates learns GoldMine's unverified candidate rules, in
+// the order the verification filter considers them.
+func goldMineCandidates(nl *verilog.Netlist, opt Options) ([]candidate, error) {
 	tr, err := sim.RandomTrace(nl, opt.TraceCycles, 2, opt.Seed)
 	if err != nil {
 		return nil, fmt.Errorf("mine: trace generation failed: %w", err)
@@ -27,7 +37,7 @@ func GoldMine(ctx context.Context, nl *verilog.Netlist, opt Options) ([]Mined, e
 	for _, target := range miningTargets(nl) {
 		cands = append(cands, mineTarget(nl, g, tr, target, opt)...)
 	}
-	return dedupeAndVerify(ctx, nl, cands, opt)
+	return cands, nil
 }
 
 // miningTargets selects output and state nets worth explaining.

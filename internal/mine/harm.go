@@ -25,6 +25,17 @@ import (
 //	H6: a == va            |->  ##[1:2] b == vb   (ranged response)
 func Harm(ctx context.Context, nl *verilog.Netlist, opt Options) ([]Mined, error) {
 	opt = opt.withDefaults()
+	cands, err := harmCandidates(nl, opt)
+	if err != nil {
+		return nil, err
+	}
+	return dedupeAndVerify(ctx, nl, cands, opt)
+}
+
+// harmCandidates instantiates and screens Harm's templates into
+// unverified candidates, in the order the verification filter considers
+// them.
+func harmCandidates(nl *verilog.Netlist, opt Options) ([]candidate, error) {
 	tr, err := sim.RandomTrace(nl, opt.TraceCycles, 2, opt.Seed)
 	if err != nil {
 		return nil, fmt.Errorf("mine: trace generation failed: %w", err)
@@ -35,7 +46,7 @@ func Harm(ctx context.Context, nl *verilog.Netlist, opt Options) ([]Mined, error
 	for _, target := range miningTargets(nl) {
 		cands = append(cands, harmTarget(nl, g, tr, target, opt)...)
 	}
-	return dedupeAndVerify(ctx, nl, cands, opt)
+	return cands, nil
 }
 
 func harmTarget(nl *verilog.Netlist, g *rtlgraph.Graph, tr *sim.Trace, target int, opt Options) []candidate {

@@ -51,6 +51,17 @@ func isSecretName(name string) bool {
 // and no privilege without a preceding request. Output is FPV-verified.
 func Security(ctx context.Context, nl *verilog.Netlist, opt Options) ([]Mined, error) {
 	opt = opt.withDefaults()
+	cands, err := securityCandidates(nl, opt)
+	if err != nil {
+		return nil, err
+	}
+	return dedupeAndVerify(ctx, nl, cands, opt)
+}
+
+// securityCandidates instantiates and screens Security's templates into
+// unverified candidates, in the order the verification filter considers
+// them.
+func securityCandidates(nl *verilog.Netlist, opt Options) ([]candidate, error) {
 	tr, err := sim.RandomTrace(nl, opt.TraceCycles, 2, opt.Seed)
 	if err != nil {
 		return nil, fmt.Errorf("mine: trace generation failed: %w", err)
@@ -128,7 +139,7 @@ func Security(ctx context.Context, nl *verilog.Netlist, opt Options) ([]Mined, e
 			cands = append(cands, candidate{a: a, support: support})
 		}
 	}
-	return dedupeAndVerify(ctx, nl, cands, opt)
+	return cands, nil
 }
 
 // constantUnder reports the value o held whenever p==polarity, if unique.

@@ -139,39 +139,90 @@ func atomValues(tr *sim.Trace, net, cap int) []uint64 {
 	return vals
 }
 
+// Both runs GoldMine and Harm concurrently on nl and returns each
+// miner's output. The miners share only the netlist, whose lazy memos
+// are synchronized, so the results are those of running them one after
+// the other. Both returns after both miners have finished. On failure
+// it returns no results and GoldMine's error takes precedence, as in a
+// GoldMine-then-Harm sequence.
+func Both(ctx context.Context, nl *verilog.Netlist, opt Options) (gm, hm []Mined, err error) {
+	var herr error
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		hm, herr = Harm(ctx, nl, opt)
+	}()
+	gm, err = GoldMine(ctx, nl, opt)
+	<-done
+	if err == nil {
+		err = herr
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	return gm, hm, nil
+}
+
 // dedupeAndVerify turns unique candidates into FPV-proven Mined entries.
+// It keeps candidate order and stops once MaxAssertions entries are kept,
+// and verifies in quota-sized batches: the next MaxAssertions-len(kept)
+// unique candidates go through one VerifyBatch call, on an engine whose
+// private graph cache lives for this call so that later batches reuse
+// the reachability graph of earlier ones. A batch can fill the quota only
+// at its last element, so exactly the candidates a one-at-a-time filter
+// would verify are verified, and VerifyBatch's verdicts equal
+// per-property verification's (dverify oracle 5): the output is the one
+// fpv.Verify on each candidate in turn would give, whatever
+// Options.FPV.Batch says.
 // Cancellation aborts the remaining verification queue and returns
 // ctx.Err() — never a silently shortened result set.
 func dedupeAndVerify(ctx context.Context, nl *verilog.Netlist, cands []candidate, opt Options) ([]Mined, error) {
+	// A non-positive cap still keeps the first passing candidate.
+	quota := max(opt.MaxAssertions, 1)
+	e := &fpv.Engine{Graphs: &fpv.GraphCache{}}
 	seen := map[string]bool{}
 	var out []Mined
-	for _, c := range cands {
+	var batch []candidate
+	var cs []*sva.Compiled
+	for next := 0; len(out) < quota; {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		key := c.a.String()
-		if seen[key] {
-			continue
+		batch, cs = batch[:0], cs[:0]
+		for ; next < len(cands) && len(batch) < quota-len(out); next++ {
+			c := cands[next]
+			key := c.a.String()
+			if seen[key] {
+				continue
+			}
+			seen[key] = true
+			compiled, err := sva.Compile(c.a, nl)
+			if err != nil {
+				continue // an assertion that does not compile never passes
+			}
+			batch = append(batch, c)
+			cs = append(cs, compiled)
 		}
-		seen[key] = true
-		res := fpv.Verify(ctx, nl, c.a, opt.FPV)
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if res.Status != fpv.StatusProven && res.Status != fpv.StatusBoundedPass {
-			continue
-		}
-		m := Mined{
-			Assertion:  c.a,
-			Support:    c.support,
-			Coverage:   float64(c.support) / float64(opt.TraceCycles),
-			Complexity: complexity(c.a),
-			Result:     res,
-		}
-		m.Rank = rankOf(m)
-		out = append(out, m)
-		if len(out) >= opt.MaxAssertions {
+		if len(batch) == 0 {
 			break
+		}
+		results := e.VerifyBatch(ctx, nl, cs, opt.FPV)
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		for i, res := range results {
+			if res.Status != fpv.StatusProven && res.Status != fpv.StatusBoundedPass {
+				continue
+			}
+			m := Mined{
+				Assertion:  batch[i].a,
+				Support:    batch[i].support,
+				Coverage:   float64(batch[i].support) / float64(opt.TraceCycles),
+				Complexity: complexity(batch[i].a),
+				Result:     res,
+			}
+			m.Rank = rankOf(m)
+			out = append(out, m)
 		}
 	}
 	sortByRank(out)

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"assertionbench/internal/mine"
-	"assertionbench/internal/verilog"
 )
 
 // MinedAssertion is one formally verified assertion produced by a miner,
@@ -37,7 +36,9 @@ type MineOptions struct {
 	TraceCycles int
 	// MaxAssertions bounds the output. Default 16.
 	MaxAssertions int
-	// Verify bounds the miners' FPV filter.
+	// Verify bounds the miners' FPV filter. The filter always verifies
+	// in batches, so Verify.Batch does not apply (verdicts are identical
+	// either way).
 	Verify VerifyOptions
 }
 
@@ -62,36 +63,22 @@ func MineAssertions(ctx context.Context, designSource string, opt MineOptions) (
 		FPV:           opt.Verify.internal(),
 	}
 	var mined []mine.Mined
-	run := func(fn func(context.Context, *verilog.Netlist, mine.Options) ([]mine.Mined, error)) error {
-		ms, err := fn(ctx, nl, mopt)
-		if err != nil {
-			return err
-		}
-		mined = append(mined, ms...)
-		return nil
-	}
 	switch opt.Miner {
 	case "", "both":
-		if err := run(mine.GoldMine); err != nil {
-			return nil, err
-		}
-		if err := run(mine.Harm); err != nil {
-			return nil, err
-		}
+		var gm, hm []mine.Mined
+		gm, hm, err = mine.Both(ctx, nl, mopt)
+		mined = append(gm, hm...)
 	case "goldmine":
-		if err := run(mine.GoldMine); err != nil {
-			return nil, err
-		}
+		mined, err = mine.GoldMine(ctx, nl, mopt)
 	case "harm":
-		if err := run(mine.Harm); err != nil {
-			return nil, err
-		}
+		mined, err = mine.Harm(ctx, nl, mopt)
 	case "security":
-		if err := run(mine.Security); err != nil {
-			return nil, err
-		}
+		mined, err = mine.Security(ctx, nl, mopt)
 	default:
 		return nil, fmt.Errorf("unknown miner %q (want goldmine|harm|security|both)", opt.Miner)
+	}
+	if err != nil {
+		return nil, err
 	}
 	mine.Rank(mined)
 	seen := map[string]bool{}

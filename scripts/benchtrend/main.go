@@ -1,8 +1,10 @@
 // Command benchtrend merges the checked-in BENCH_pr*.json artifacts
 // into a single markdown trajectory table so the performance history of
 // the repository is readable at a glance: one row per PR with the cold
-// and warm full-corpus FPV pass, the per-design p95, and (once the
-// scheduler lands) the cost-vs-contiguous dispatch tail speedup.
+// and warm full-corpus FPV pass, the per-design p95, and a historical
+// "tail" column. That column holds the cost-vs-contiguous dispatch p95
+// ratio, which only BENCH_pr9 recorded; the cost dispatcher it measured
+// has since been removed.
 //
 // Usage:
 //
@@ -101,9 +103,9 @@ func main() {
 	fmt.Println("the CI host (1 CPU). \"cold\" is the best engine configuration of")
 	fmt.Println("that PR starting from empty caches; \"warm\" re-runs it against a")
 	fmt.Println("populated artifact store; \"design p95\" is the 95th-percentile")
-	fmt.Println("single-design time within the cold pass; \"tail\" is the")
-	fmt.Println("contiguous-vs-cost dispatch p95 ratio (>1 means the cost-aware")
-	fmt.Println("scheduler shortens the tail).")
+	fmt.Println("single-design time within the cold pass; \"tail\" is historical")
+	fmt.Println("and holds data for BENCH_pr9 only: the contiguous-vs-cost dispatch")
+	fmt.Println("p95 ratio of the cost-aware dispatcher, since removed.")
 	fmt.Println()
 	fmt.Println("| PR | cold (ms) | warm (ms) | design p95 (ms) | tail | what changed |")
 	fmt.Println("|---:|----------:|----------:|----------------:|-----:|:-------------|")
